@@ -63,15 +63,14 @@ pub use error::IntegrityStage;
 pub use multi::{multi_simulated, try_multi_simulated, MultiReport};
 pub use params::{ProblemSpec, ThParams, TuningParams};
 pub use pencil::{
-    compare_pencil_with_serial, fft3_pencil, fft3_pencil_overlapped, pencil_feasible,
-    pencil_overlap_simulated, pencil_overlap_simulated_params, pencil_overlap_simulated_repeated,
-    pencil_seed, pencil_simulated, pencil_test_input, try_fft3_pencil, try_fft3_pencil_overlapped,
+    compare_pencil_with_serial, fft3_pencil, pencil_feasible, pencil_overlap_simulated,
+    pencil_overlap_simulated_params, pencil_overlap_simulated_repeated, pencil_seed,
+    pencil_simulated, pencil_test_input, try_fft3_pencil, try_fft3_pencil_overlapped,
     try_fft3_pencil_overlapped_traced, PencilGrid, PencilOutput, PencilRunOutput, PencilSession,
 };
 pub use pipeline::{Recovery, Resilience};
 pub use real_env::{
-    fft3_dist, fft3_dist_traced, try_fft3_dist, try_fft3_dist_traced, FftSession, OutLayout,
-    RunOutput, Variant,
+    fft3_dist, try_fft3_dist, try_fft3_dist_traced, FftSession, OutLayout, RunOutput, Variant,
 };
 pub use recover::{
     run_recoverable, Checkpoint, ComputeSource, NoSource, ParitySource, RecoverConfig,

@@ -6,11 +6,12 @@
 //!
 //! * [`fft3_pencil`] — the blocking reference transform over `mpisim`
 //!   (one `alltoallv` per exchange within row/column subcommunicators);
-//! * [`fft3_pencil_overlapped`] / [`try_fft3_pencil_overlapped`] — the
-//!   paper's tile-window overlap applied to **both** pencil exchanges,
-//!   driven by the same resilient pipeline ([`crate::pipeline::try_run_new`])
-//!   as the slab backend, with the degradation ladder, tracing, and
-//!   persistent-plan reuse via [`PencilSession`];
+//! * [`PencilSession`] — the paper's tile-window overlap applied to
+//!   **both** pencil exchanges, driven by the same resilient pipeline
+//!   ([`crate::pipeline::try_run_new`]) as the slab backend, with the
+//!   degradation ladder and tracing. Every tile exchange runs on a
+//!   persistent plan; [`try_fft3_pencil_overlapped`] is a session executed
+//!   once;
 //! * [`pencil_simulated`] / [`pencil_overlap_simulated`] — their cost
 //!   models on `simnet`, used by the `decomp_crossover` bench and by
 //!   [`crate::decomp::auto_select`] to locate the slab-vs-pencil crossover.
@@ -39,10 +40,10 @@ use crate::pipeline::{try_run_new, OverlapEnv, Recovery, Resilience};
 use crate::real_env::coll_to_error;
 use crate::serial::test_field;
 use crate::trace::{DegradeAction, EventKind, NoopRecorder, Recorder, TraceEvent};
-use crate::xplan::{TileExchange, TransformPlanCache};
+use crate::xplan::{PencilGeometry, TileExchange, TilePlans, TransformPlanCache};
 use cfft::planner::{Plan1d, Rigor};
 use cfft::{Complex64, Direction, PlanCache};
-use mpisim::{CollError, Comm, IAlltoall, PersistentAlltoall};
+use mpisim::Comm;
 use simnet::model::ELEM_BYTES;
 use simnet::{run_sim, Platform};
 use std::sync::Arc;
@@ -150,8 +151,6 @@ struct PencilDims {
     zs: AxisSplit,
     /// Y split across rows (after the column exchange).
     y2s: AxisSplit,
-    row: usize,
-    col: usize,
     nxl: usize,
     nyc: usize,
     nzl: usize,
@@ -173,8 +172,6 @@ impl PencilDims {
             ys,
             zs,
             y2s,
-            row,
-            col,
             nxl,
             nyc,
             nzl,
@@ -370,18 +367,6 @@ pub fn try_fft3_pencil(
 // Overlapped backend
 // ---------------------------------------------------------------------------
 
-/// Persistent exchange plans for one pencil stage, one slot per tile.
-type TilePlans = Vec<Option<PersistentAlltoall<Complex64>>>;
-
-/// Request handle for one pencil tile's subcommunicator all-to-all.
-enum PencilReq {
-    /// A freshly posted `ialltoallv`.
-    AdHoc(IAlltoall<Complex64>),
-    /// An execution of the tile's persistent plan; the handle is the tile
-    /// index (the execution lives inside the plan).
-    Persistent(usize),
-}
-
 /// Which exchange a [`StageEnv`] drives.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum StageKind {
@@ -398,9 +383,9 @@ enum StageKind {
 /// schedule — and the same degradation ladder — as the slab backend. Two
 /// instances run per transform (Row then Col); the second numbers its
 /// tiles after the first (`tile_base`) so errors, traces, and recovery
-/// actions name globally unique tiles.
+/// actions name globally unique tiles. A request is the stage-local tile
+/// number; the execution itself lives in the stage's [`TilePlans`].
 struct StageEnv<'a, R: Recorder> {
-    comm: &'a Comm,
     kind: StageKind,
     spec: ProblemSpec,
     dims: &'a PencilDims,
@@ -428,18 +413,15 @@ struct StageEnv<'a, R: Recorder> {
     scratch: &'a mut Vec<Complex64>,
     /// Packed send buffers awaiting their post.
     staged: Vec<Option<Vec<Complex64>>>,
-    /// Completed receive buffers awaiting their unpack; the flag marks a
-    /// buffer borrowed from a persistent plan (returned via
-    /// `restore_recv` once unpacked).
-    arrived: Vec<Option<(Vec<Complex64>, bool)>>,
-    plans: Option<&'a mut TilePlans>,
+    /// Completed receive buffers awaiting their unpack, lent out by the
+    /// tile's plan until the unpack hands them back.
+    arrived: Vec<Option<Vec<Complex64>>>,
+    /// The stage's per-tile persistent plans, over its subcommunicator.
+    plans: &'a mut TilePlans<Comm>,
     recorder: &'a mut R,
     epoch: Instant,
     tile_base: usize,
     threads_n: usize,
-    /// Exchange setups this stage performed: one per ad-hoc post, one per
-    /// persistent-plan init (plan reuse does not count).
-    setups: u64,
 }
 
 impl<R: Recorder> StageEnv<'_, R> {
@@ -459,28 +441,16 @@ impl<R: Recorder> StageEnv<'_, R> {
         (start, self.tsize.min(self.extent - start))
     }
 
-    fn try_test_req(&mut self, req: &mut PencilReq) -> Result<bool, CollError> {
-        match req {
-            PencilReq::AdHoc(r) => r.try_test(self.comm),
-            PencilReq::Persistent(pt) => self
-                .plans
-                .as_deref_mut()
-                .and_then(|p| p[*pt].as_mut())
-                .expect("in-flight persistent execution without its plan")
-                .try_test(self.comm),
-        }
-    }
-
     /// Polls every in-flight exchange `n` times, surfacing the first fault
     /// a poll observes (named after the tile it hit).
-    fn poll(&mut self, n: u32, inflight: &mut [(usize, PencilReq)]) -> Result<(), Error> {
+    fn poll(&mut self, n: u32, inflight: &[(usize, usize)]) -> Result<(), Error> {
         if inflight.is_empty() {
             return Ok(());
         }
         for _ in 0..n {
-            for (gt, req) in inflight.iter_mut() {
+            for &(gt, tile) in inflight.iter() {
                 let t0 = Instant::now();
-                let result = self.try_test_req(req);
+                let result = self.plans.try_test(tile);
                 let t1 = Instant::now();
                 if self.recorder.enabled() {
                     let completed = matches!(result, Ok(true));
@@ -488,12 +458,12 @@ impl<R: Recorder> StageEnv<'_, R> {
                         t0,
                         t1,
                         EventKind::Test {
-                            tile: *gt,
+                            tile: gt,
                             completed,
                         },
                     );
                 }
-                result.map_err(|e| coll_to_error(*gt, e))?;
+                result.map_err(|e| coll_to_error(gt, e))?;
             }
         }
         Ok(())
@@ -501,7 +471,7 @@ impl<R: Recorder> StageEnv<'_, R> {
 }
 
 impl<R: Recorder> OverlapEnv for StageEnv<'_, R> {
-    type Req = PencilReq;
+    type Req = usize;
 
     fn num_tiles(&self) -> usize {
         self.tiles.len()
@@ -595,27 +565,7 @@ impl<R: Recorder> OverlapEnv for StageEnv<'_, R> {
             .take()
             .expect("post without a packed tile");
         let t0 = Instant::now();
-        let req = if let Some(plans) = self.plans.as_deref_mut() {
-            if plans[tile].is_none() {
-                plans[tile] = Some(self.comm.alltoallv_init(
-                    &xg.send_counts,
-                    &xg.recv_counts,
-                    vec![Complex64::ZERO; xg.total_recv],
-                ));
-                self.setups += 1;
-            }
-            let plan = plans[tile].as_mut().expect("just initialised");
-            plan.start(self.comm, &send);
-            PencilReq::Persistent(tile)
-        } else {
-            self.setups += 1;
-            PencilReq::AdHoc(self.comm.ialltoallv(
-                &send,
-                &xg.send_counts,
-                &xg.recv_counts,
-                vec![Complex64::ZERO; xg.total_recv],
-            ))
-        };
+        self.plans.start(tile, &xg, &send);
         let t1 = Instant::now();
         self.record_span(
             t0,
@@ -625,50 +575,24 @@ impl<R: Recorder> OverlapEnv for StageEnv<'_, R> {
                 bytes: xg.total_send as u64 * ELEM_BYTES,
             },
         );
-        req
+        tile
     }
 
     fn wait(&mut self, tile: usize, req: Self::Req) -> Result<(), (Self::Req, Error)> {
         let gt = self.tile_base + tile;
-        let comm = self.comm;
         let t0 = Instant::now();
-        type WaitOutcome = Result<(Vec<Complex64>, bool), (PencilReq, CollError)>;
-        let outcome: WaitOutcome = match req {
-            PencilReq::AdHoc(mut r) => match self.stall_timeout {
-                None => Ok((r.wait(comm), false)),
-                Some(timeout) => match r.wait_timeout(comm, timeout) {
-                    Ok(()) => Ok((r.take_recv(), false)),
-                    // Hand the live request back: the driver may retry it
-                    // after a degradation step, or cancel it.
-                    Err(e) => Err((PencilReq::AdHoc(r), e)),
-                },
-            },
-            PencilReq::Persistent(pt) => {
-                let plan = self
-                    .plans
-                    .as_deref_mut()
-                    .and_then(|p| p[pt].as_mut())
-                    .expect("in-flight persistent execution without its plan");
-                match self.stall_timeout {
-                    None => {
-                        plan.wait(comm);
-                        Ok((plan.take_recv(), true))
-                    }
-                    Some(timeout) => match plan.wait_timeout(comm, timeout) {
-                        Ok(()) => Ok((plan.take_recv(), true)),
-                        Err(e) => Err((PencilReq::Persistent(pt), e)),
-                    },
-                }
-            }
-        };
+        // On a stall the execution stays alive inside the plan: the tile
+        // goes back to the driver, which may retry it after a degradation
+        // step, or cancel it.
+        let outcome = self.plans.wait(tile, self.stall_timeout);
         let t1 = Instant::now();
         self.record_span(t0, t1, EventKind::Wait { tile: gt });
         match outcome {
-            Ok((recv, from_plan)) => {
-                self.arrived[tile] = Some((recv, from_plan));
+            Ok(recv) => {
+                self.arrived[tile] = Some(recv);
                 Ok(())
             }
-            Err((req, e)) => Err((req, coll_to_error(gt, e))),
+            Err(e) => Err((req, coll_to_error(gt, e))),
         }
     }
 
@@ -679,7 +603,7 @@ impl<R: Recorder> OverlapEnv for StageEnv<'_, R> {
     ) -> Result<(), Error> {
         let gt = self.tile_base + tile;
         let (start, cnt) = self.tile_range(tile);
-        let (recv, from_plan) = self.arrived[tile]
+        let recv = self.arrived[tile]
             .take()
             .ok_or(Error::Internal("unpack without a waited tile"))?;
         match self.kind {
@@ -772,11 +696,7 @@ impl<R: Recorder> OverlapEnv for StageEnv<'_, R> {
                 }
             }
         }
-        if from_plan {
-            if let Some(plan) = self.plans.as_deref_mut().and_then(|p| p[tile].as_mut()) {
-                plan.restore_recv(recv);
-            }
-        }
+        self.plans.restore_recv(tile, recv);
         self.poll(self.f_post.saturating_mul(self.boost), inflight)
     }
 
@@ -803,22 +723,13 @@ impl<R: Recorder> OverlapEnv for StageEnv<'_, R> {
     }
 
     fn cancel(&mut self, _tile: usize, req: Self::Req) {
-        match req {
-            PencilReq::AdHoc(r) => {
-                r.cancel(self.comm);
-            }
-            PencilReq::Persistent(pt) => {
-                // Freeing the plan cancels its in-flight execution; the next
-                // run of this tile re-initialises lazily.
-                if let Some(plan) = self.plans.as_deref_mut().and_then(|p| p[pt].take()) {
-                    plan.free(self.comm);
-                }
-            }
-        }
+        // Freeing the plan cancels its in-flight execution; the next run of
+        // this tile re-initialises lazily.
+        self.plans.cancel(req);
     }
 
     fn sched_point(&mut self) {
-        self.comm.progress_hint();
+        self.plans.comm().progress_hint();
     }
 
     fn threads(&self) -> usize {
@@ -834,9 +745,10 @@ pub struct PencilRunOutput {
     /// numbers in [`Recovery::actions`] count stage-2 tiles after
     /// stage 1's).
     pub recovery: Recovery,
-    /// Exchange setups performed: one per ad-hoc all-to-all post, one per
-    /// persistent-plan init. A [`PencilSession`]'s second execution
-    /// reports 0.
+    /// Exchange setups performed: one per persistent per-tile plan this
+    /// run initialised. A [`PencilSession`]'s first execution reports one
+    /// per tile of both stages and every later one reports 0; a one-shot
+    /// [`try_fft3_pencil_overlapped`] is a session executed once.
     pub exchange_setups: u64,
 }
 
@@ -870,137 +782,9 @@ fn merge_recovery(mut a: Recovery, b: Recovery) -> Recovery {
     a
 }
 
-/// The overlapped transform proper, shared by the one-shot entry points
-/// (`plans = None`: ad-hoc `ialltoallv` per tile) and [`PencilSession`]
-/// (persistent plans, initialised lazily on first use).
-#[allow(clippy::too_many_arguments)]
-fn run_pencil_overlapped<R: Recorder>(
-    row_comm: &Comm,
-    col_comm: &Comm,
-    spec: &ProblemSpec,
-    grid: PencilGrid,
-    dims: &PencilDims,
-    params: &TuningParams,
-    dir: Direction,
-    input: &[Complex64],
-    res: &Resilience,
-    recorder: &mut R,
-    row_plans: Option<&mut TilePlans>,
-    col_plans: Option<&mut TilePlans>,
-) -> Result<PencilRunOutput, Error> {
-    assert_eq!(
-        input.len(),
-        dims.nxl * dims.nyc * spec.nz,
-        "input must be the rank's pencil"
-    );
-    let rank = dims.row * grid.pc + dims.col;
-    let geom = TransformPlanCache::global()
-        .pencil_geometry(spec, grid.pr, grid.pc, rank, params.t)
-        .0;
-
-    let cache = PlanCache::global();
-    let plan_z = cache.plan(spec.nz, dir, Rigor::Estimate);
-    let plan_y = cache.plan(spec.ny, dir, Rigor::Estimate);
-    let plan_x = cache.plan(spec.nx, dir, Rigor::Estimate);
-    let mut scratch = vec![
-        Complex64::ZERO;
-        plan_z
-            .scratch_len()
-            .max(plan_y.scratch_len())
-            .max(plan_x.scratch_len())
-    ];
-
-    let mut a = input.to_vec();
-    let mut b = vec![Complex64::ZERO; dims.nxl * dims.nzl * spec.ny];
-    let mut c = vec![Complex64::ZERO; dims.ny2l * dims.nzl * spec.nx];
-    let epoch = Instant::now();
-    let mut setups = 0u64;
-
-    // ---- Stage 1: FFTz/Pack ∥ row exchange ∥ Unpack/FFTy ------------------
-    let k1 = geom.row.len();
-    let rec1 = {
-        let mut env = StageEnv {
-            comm: row_comm,
-            kind: StageKind::Row,
-            spec: *spec,
-            dims,
-            tiles: &geom.row,
-            tsize: params.t.clamp(1, dims.nxl.max(1)),
-            extent: dims.nxl,
-            w: params.w,
-            f_pre: params.fp,
-            f_post: params.fu + params.fy,
-            boost: 1,
-            poll_boost: res.poll_boost,
-            stall_timeout: res.stall_timeout,
-            src: &mut a,
-            dst: &mut b,
-            plan_pre: Some(plan_z.clone()),
-            plan_post: plan_y.clone(),
-            scratch: &mut scratch,
-            staged: (0..k1).map(|_| None).collect(),
-            arrived: (0..k1).map(|_| None).collect(),
-            plans: row_plans,
-            recorder,
-            epoch,
-            tile_base: 0,
-            threads_n: params.threads,
-            setups: 0,
-        };
-        let rec = try_run_new(&mut env, res)?;
-        setups += env.setups;
-        rec
-    };
-
-    // ---- Stage 2: Pack ∥ column exchange ∥ Unpack/FFTx --------------------
-    let k2 = geom.col.len();
-    let rec2 = {
-        let mut env = StageEnv {
-            comm: col_comm,
-            kind: StageKind::Col,
-            spec: *spec,
-            dims,
-            tiles: &geom.col,
-            tsize: params.t.clamp(1, dims.nzl.max(1)),
-            extent: dims.nzl,
-            w: params.w,
-            f_pre: params.fp,
-            f_post: params.fu + params.fx,
-            boost: 1,
-            poll_boost: res.poll_boost,
-            stall_timeout: res.stall_timeout,
-            src: &mut b,
-            dst: &mut c,
-            plan_pre: None,
-            plan_post: plan_x.clone(),
-            scratch: &mut scratch,
-            staged: (0..k2).map(|_| None).collect(),
-            arrived: (0..k2).map(|_| None).collect(),
-            plans: col_plans,
-            recorder,
-            epoch,
-            tile_base: k1,
-            threads_n: params.threads,
-            setups: 0,
-        };
-        let rec = try_run_new(&mut env, res)?;
-        setups += env.setups;
-        rec
-    };
-
-    Ok(PencilRunOutput {
-        output: PencilOutput {
-            data: c,
-            ny2l: dims.ny2l,
-            nzl: dims.nzl,
-        },
-        recovery: merge_recovery(rec1, rec2),
-        exchange_setups: setups,
-    })
-}
-
 /// Distributed 3-D FFT with 2-D (pencil) decomposition and the paper's
-/// tile-window overlap on **both** exchanges.
+/// tile-window overlap on **both** exchanges, with default resilience (no
+/// watchdog) and tracing off.
 ///
 /// `input` is this rank's `(X_r, Y_c, Z_all)` block in local `x-y-z`
 /// layout; the output matches [`fft3_pencil`] exactly (bit-for-bit — both
@@ -1012,25 +796,6 @@ fn run_pencil_overlapped<R: Recorder>(
 /// `fu` during unpack, `fy`/`fx` during the post-exchange FFT), and
 /// `threads`; the slab subtile knobs (`px`, `pz`, `uy`, `uz`) are
 /// accepted and ignored.
-///
-/// # Panics
-/// On any validation or pipeline fault; use
-/// [`try_fft3_pencil_overlapped`] for the typed error path.
-pub fn fft3_pencil_overlapped(
-    comm: &Comm,
-    spec: ProblemSpec,
-    grid: PencilGrid,
-    params: TuningParams,
-    dir: Direction,
-    input: &[Complex64],
-) -> PencilOutput {
-    try_fft3_pencil_overlapped(comm, spec, grid, params, dir, input)
-        .map(|r| r.output)
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible [`fft3_pencil_overlapped`] with default resilience (no
-/// watchdog) and tracing off.
 pub fn try_fft3_pencil_overlapped(
     comm: &Comm,
     spec: ProblemSpec,
@@ -1055,6 +820,11 @@ pub fn try_fft3_pencil_overlapped(
 /// the full degradation ladder (boost polls → shrink window → blocking
 /// fallback) guards both exchanges, and every span lands in `recorder`
 /// with stage-2 tiles numbered after stage 1's.
+///
+/// A one-shot call is a [`PencilSession`] executed once: it splits the
+/// subcommunicators, sets up one persistent plan per tile of both stages
+/// (reported in [`PencilRunOutput::exchange_setups`]), and frees them on
+/// return. Receive staging is one buffer per tile — one pencil per stage.
 #[allow(clippy::too_many_arguments)]
 pub fn try_fft3_pencil_overlapped_traced<R: Recorder>(
     comm: &Comm,
@@ -1066,36 +836,33 @@ pub fn try_fft3_pencil_overlapped_traced<R: Recorder>(
     res: &Resilience,
     recorder: &mut R,
 ) -> Result<PencilRunOutput, Error> {
-    validate_pencil(comm.size(), &spec, grid, &params)?;
-    let dims = PencilDims::new(&spec, grid, comm.rank());
-    let (row_comm, col_comm) = split_pencil(comm, grid);
-    run_pencil_overlapped(
-        &row_comm, &col_comm, &spec, grid, &dims, &params, dir, input, res, recorder, None, None,
-    )
+    PencilSession::new(comm, spec, grid, params, dir)?.execute_traced(input, res, recorder)
 }
 
-/// A setup-once, execute-many overlapped pencil transform: the row/column
+/// A setup-once, execute-many overlapped pencil transform — the only
+/// implementation of the overlapped pencil backend. The row/column
 /// subcommunicators are split once and every tile's exchange runs as a
 /// persistent plan (`alltoallv_init` on first use, `start`/`wait`
 /// afterwards), so repeated transforms of one geometry pay zero exchange
-/// setups after the first execution.
+/// setups after the first execution. Dropping the session frees every
+/// plan, as [`PencilSession::free`] does explicitly.
 pub struct PencilSession {
     spec: ProblemSpec,
-    grid: PencilGrid,
     params: TuningParams,
     dir: Direction,
     dims: PencilDims,
-    row_comm: Comm,
-    col_comm: Comm,
-    row_plans: TilePlans,
-    col_plans: TilePlans,
+    geom: Arc<PencilGeometry>,
+    /// Stage-1 plans, over the row subcommunicator.
+    row: TilePlans<Comm>,
+    /// Stage-2 plans, over the column subcommunicator.
+    col: TilePlans<Comm>,
     executions: u64,
 }
 
 impl PencilSession {
     /// Validates, splits the subcommunicators, and sizes the per-tile plan
-    /// slots (plans themselves are initialised lazily by the first
-    /// execution). Collective over `comm`.
+    /// tables from the cached pencil geometry (plans themselves are
+    /// initialised lazily by the first execution). Collective over `comm`.
     pub fn new(
         comm: &Comm,
         spec: ProblemSpec,
@@ -1105,19 +872,18 @@ impl PencilSession {
     ) -> Result<Self, Error> {
         validate_pencil(comm.size(), &spec, grid, &params)?;
         let dims = PencilDims::new(&spec, grid, comm.rank());
+        let geom = TransformPlanCache::global()
+            .pencil_geometry(&spec, grid.pr, grid.pc, comm.rank(), params.t)
+            .0;
         let (row_comm, col_comm) = split_pencil(comm, grid);
-        let k1 = dims.nxl.div_ceil(params.t.clamp(1, dims.nxl.max(1)));
-        let k2 = dims.nzl.div_ceil(params.t.clamp(1, dims.nzl.max(1)));
         Ok(PencilSession {
             spec,
-            grid,
             params,
             dir,
             dims,
-            row_comm,
-            col_comm,
-            row_plans: (0..k1).map(|_| None).collect(),
-            col_plans: (0..k2).map(|_| None).collect(),
+            row: TilePlans::new(row_comm, geom.row.len()),
+            col: TilePlans::new(col_comm, geom.col.len()),
+            geom,
             executions: 0,
         })
     }
@@ -1134,22 +900,105 @@ impl PencilSession {
         res: &Resilience,
         recorder: &mut R,
     ) -> Result<PencilRunOutput, Error> {
-        let out = run_pencil_overlapped(
-            &self.row_comm,
-            &self.col_comm,
-            &self.spec,
-            self.grid,
-            &self.dims,
-            &self.params,
-            self.dir,
-            input,
-            res,
-            recorder,
-            Some(&mut self.row_plans),
-            Some(&mut self.col_plans),
-        )?;
+        let (spec, dims, params, dir) = (&self.spec, &self.dims, &self.params, self.dir);
+        assert_eq!(
+            input.len(),
+            dims.nxl * dims.nyc * spec.nz,
+            "input must be the rank's pencil"
+        );
+
+        let cache = PlanCache::global();
+        let plan_z = cache.plan(spec.nz, dir, Rigor::Estimate);
+        let plan_y = cache.plan(spec.ny, dir, Rigor::Estimate);
+        let plan_x = cache.plan(spec.nx, dir, Rigor::Estimate);
+        let mut scratch = vec![
+            Complex64::ZERO;
+            plan_z
+                .scratch_len()
+                .max(plan_y.scratch_len())
+                .max(plan_x.scratch_len())
+        ];
+
+        let mut a = input.to_vec();
+        let mut b = vec![Complex64::ZERO; dims.nxl * dims.nzl * spec.ny];
+        let mut c = vec![Complex64::ZERO; dims.ny2l * dims.nzl * spec.nx];
+        let epoch = Instant::now();
+        let setups_before = self.row.setups() + self.col.setups();
+
+        // ---- Stage 1: FFTz/Pack ∥ row exchange ∥ Unpack/FFTy ------------------
+        let k1 = self.geom.row.len();
+        let rec1 = {
+            let mut env = StageEnv {
+                kind: StageKind::Row,
+                spec: *spec,
+                dims,
+                tiles: &self.geom.row,
+                tsize: params.t.clamp(1, dims.nxl.max(1)),
+                extent: dims.nxl,
+                w: params.w,
+                f_pre: params.fp,
+                f_post: params.fu + params.fy,
+                boost: 1,
+                poll_boost: res.poll_boost,
+                stall_timeout: res.stall_timeout,
+                src: &mut a,
+                dst: &mut b,
+                plan_pre: Some(plan_z.clone()),
+                plan_post: plan_y.clone(),
+                scratch: &mut scratch,
+                staged: (0..k1).map(|_| None).collect(),
+                arrived: (0..k1).map(|_| None).collect(),
+                plans: &mut self.row,
+                recorder,
+                epoch,
+                tile_base: 0,
+                threads_n: params.threads,
+            };
+            try_run_new(&mut env, res)?
+        };
+
+        // ---- Stage 2: Pack ∥ column exchange ∥ Unpack/FFTx --------------------
+        let k2 = self.geom.col.len();
+        let rec2 = {
+            let mut env = StageEnv {
+                kind: StageKind::Col,
+                spec: *spec,
+                dims,
+                tiles: &self.geom.col,
+                tsize: params.t.clamp(1, dims.nzl.max(1)),
+                extent: dims.nzl,
+                w: params.w,
+                f_pre: params.fp,
+                f_post: params.fu + params.fx,
+                boost: 1,
+                poll_boost: res.poll_boost,
+                stall_timeout: res.stall_timeout,
+                src: &mut b,
+                dst: &mut c,
+                plan_pre: None,
+                plan_post: plan_x.clone(),
+                scratch: &mut scratch,
+                staged: (0..k2).map(|_| None).collect(),
+                arrived: (0..k2).map(|_| None).collect(),
+                plans: &mut self.col,
+                recorder,
+                epoch,
+                tile_base: k1,
+                threads_n: params.threads,
+            };
+            try_run_new(&mut env, res)?
+        };
+
         self.executions += 1;
-        Ok(out)
+        Ok(PencilRunOutput {
+            output: PencilOutput {
+                data: c,
+                ny2l: dims.ny2l,
+                nzl: dims.nzl,
+            },
+            recovery: merge_recovery(rec1, rec2),
+            exchange_setups: self.row.setups() + self.col.setups() - setups_before,
+        })
     }
 
     /// Completed executions.
@@ -1161,20 +1010,18 @@ impl PencilSession {
     /// subcommunicators, like `MPI_Request_free`); returns how many were
     /// freed.
     pub fn free(mut self) -> usize {
-        let mut n = 0;
-        for slot in self.row_plans.iter_mut() {
-            if let Some(plan) = slot.take() {
-                plan.free(&self.row_comm);
-                n += 1;
-            }
-        }
-        for slot in self.col_plans.iter_mut() {
-            if let Some(plan) = slot.take() {
-                plan.free(&self.col_comm);
-                n += 1;
-            }
-        }
-        n
+        self.row.free_all() + self.col.free_all()
+    }
+}
+
+impl Drop for PencilSession {
+    fn drop(&mut self) {
+        // The subcommunicators die with the session. A rank whose row stage
+        // failed never posts the column exchanges its column peers already
+        // sent blocks for; those blocks can be reclaimed only here. (The
+        // plans themselves are freed by the tables' own drop.)
+        self.row.comm().discard_pending();
+        self.col.comm().discard_pending();
     }
 }
 

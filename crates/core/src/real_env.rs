@@ -14,7 +14,7 @@ use crate::error::{Error, IntegrityStage};
 use crate::params::{ParamError, ProblemSpec, TuningParams};
 use crate::pipeline::{try_run_new, try_run_th, OverlapEnv, Recovery, Resilience};
 use crate::trace::{DegradeAction, EventKind, NoopRecorder, Recorder, TraceEvent};
-use crate::xplan::{ExchangeGeometry, TileExchange, TransformPlanCache};
+use crate::xplan::{ExchangeGeometry, TileExchange, TilePlans, TransformPlanCache};
 use cfft::batch::{
     execute_batch_threaded, execute_lines_threaded, for_each_part_threaded, for_each_row_threaded,
     BatchLayout,
@@ -23,7 +23,7 @@ use cfft::planner::{Plan1d, Rigor};
 use cfft::transpose::{permute3_threaded, xzy_fast_threaded, Dims3, XYZ_TO_ZXY};
 use cfft::{Complex64, Direction, PlanCache};
 use faultplan::{checksum, flip_seeded_bit};
-use mpisim::{CollError, Comm, IAlltoall, PersistentAlltoall};
+use mpisim::{CollError, Comm};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -91,20 +91,19 @@ pub struct RunOutput {
     /// plan came from the process-wide [`PlanCache`] — i.e. for any repeat
     /// of a geometry this process has transformed before.
     pub planning: Duration,
-    /// Exchange schedule setups this call performed: one per ad-hoc
-    /// all-to-all post, one per persistent-plan init. Through an
-    /// [`FftSession`] the per-tile plans are set up lazily on the first
-    /// execution, so every execution after the first reports exactly zero —
-    /// the setup-once / execute-many steady state.
+    /// Exchange schedule setups this call performed: one per persistent
+    /// per-tile plan it initialised. Plans are set up lazily on an
+    /// [`FftSession`]'s first execution, so every execution after the first
+    /// reports exactly zero — the setup-once / execute-many steady state. A
+    /// one-shot call ([`try_fft3_dist`] and friends) is a session executed
+    /// once and reports one setup per tile.
     pub exchange_setups: u64,
 }
 
-/// Request handle of the real backend: either an ad-hoc one-shot exchange,
-/// or one execution of a session's persistent per-tile plan (the plan
-/// itself lives in the environment, so the handle is just the tile number).
+/// Request handle of the real backend: one execution of a tile's
+/// persistent plan (the plan itself lives in the session's [`TilePlans`],
+/// so the handle is just the tile number).
 pub enum RealReq {
-    /// One-shot `ialltoallv` request (the non-session path).
-    AdHoc(IAlltoall<Complex64>),
     /// In-flight execution of the persistent plan for this tile.
     Persistent(usize),
     /// No exchange was posted: the staged payload failed an integrity
@@ -113,10 +112,6 @@ pub enum RealReq {
     /// because no peer ever saw (or sequenced) the withheld exchange.
     Poisoned(IntegrityStage),
 }
-
-/// Per-tile persistent exchange plans owned by an [`FftSession`], borrowed
-/// by the environment for the duration of one execution.
-type TilePlans = Vec<Option<PersistentAlltoall<Complex64>>>;
 
 /// Distributes polls evenly across a loop of `total_units` work units.
 struct PollSchedule {
@@ -146,79 +141,16 @@ impl PollSchedule {
     }
 }
 
-/// Bounded recycle pool for all-to-all receive buffers.
-///
-/// Retains at most `max_buffers` buffers (the windowed pipeline never has
-/// more than `W + 1` tiles between post and unpack), and shrinks a returned
-/// buffer whose capacity exceeds `max_len` — e.g. one that served a larger
-/// earlier tile — before retaining it, so mixed tile sizes cannot pin
-/// peak-tile memory for the rest of the run.
-#[derive(Debug, Default)]
-pub struct BufferPool {
-    max_buffers: usize,
-    max_len: usize,
-    bufs: Vec<Vec<Complex64>>,
-}
-
-impl BufferPool {
-    /// A pool retaining at most `max_buffers` buffers of at most `max_len`
-    /// elements of capacity each.
-    pub fn new(max_buffers: usize, max_len: usize) -> Self {
-        BufferPool {
-            max_buffers,
-            max_len,
-            bufs: Vec::new(),
-        }
-    }
-
-    /// Hands out a zero-filled buffer of exactly `len` elements, recycling
-    /// a retained one when available.
-    pub fn take(&mut self, len: usize) -> Vec<Complex64> {
-        let mut buf = self.bufs.pop().unwrap_or_default();
-        buf.clear();
-        buf.resize(len, Complex64::ZERO);
-        buf
-    }
-
-    /// Returns a buffer to the pool; dropped if the pool is full, shrunk
-    /// first if its capacity exceeds the pool's per-buffer cap.
-    pub fn put(&mut self, mut buf: Vec<Complex64>) {
-        if self.bufs.len() >= self.max_buffers {
-            return;
-        }
-        if buf.capacity() > self.max_len {
-            buf.truncate(self.max_len);
-            buf.shrink_to(self.max_len);
-        }
-        self.bufs.push(buf);
-    }
-
-    /// Number of buffers currently retained.
-    pub fn retained(&self) -> usize {
-        self.bufs.len()
-    }
-
-    /// Total elements of capacity currently retained.
-    pub fn retained_capacity(&self) -> usize {
-        self.bufs.iter().map(|b| b.capacity()).sum()
-    }
-}
-
-struct RealEnv<'a> {
-    comm: &'a Comm,
+struct RealEnv<'a, 'c> {
+    comm: &'c Comm,
     spec: ProblemSpec,
     params: TuningParams,
     decomp: Decomp,
     /// Per-tile exchange geometry from the process-wide
     /// [`TransformPlanCache`] — never recomputed per call.
     geom: Arc<ExchangeGeometry>,
-    /// Session mode: per-tile persistent plans, inited lazily on each
-    /// tile's first execution and reused for every execution after.
-    /// `None` posts ad-hoc one-shot exchanges (the classic path).
-    plans: Option<&'a mut TilePlans>,
-    /// Exchange schedule setups performed during this run (see
-    /// [`RunOutput::exchange_setups`]).
-    setups: u64,
+    /// The session's per-tile persistent plans, borrowed for one run.
+    plans: &'a mut TilePlans<&'c Comm>,
     nxl: usize,
     nyl: usize,
     transpose_style: TransposeStyle,
@@ -247,13 +179,9 @@ struct RealEnv<'a> {
     /// Post-transform batch sum, compared against the transformed
     /// [`Self::abft_line`].
     abft_post: Vec<Complex64>,
-    /// Recycled receive buffers, bounded to the pipeline's working set.
-    recv_pool: BufferPool,
-    /// Receive data of the most recently waited tile, awaiting unpack.
+    /// Receive buffer of the most recently waited tile, lent out by its
+    /// plan until the unpack hands it back.
     pending_recv: Option<Vec<Complex64>>,
-    /// When `pending_recv` was taken from a persistent plan, the tile whose
-    /// plan must get the buffer back after unpack (pool-recycled otherwise).
-    pending_plan: Option<usize>,
     /// Watchdog timeout for waits; `None` blocks forever (legacy).
     stall_timeout: Option<Duration>,
     /// `F*` multiplier applied by the ladder's boost-polls rung.
@@ -266,40 +194,17 @@ struct RealEnv<'a> {
     recorder: &'a mut dyn Recorder,
 }
 
-impl<'a> RealEnv<'a> {
+impl RealEnv<'_, '_> {
     fn tile_range(&self, tile: usize) -> (usize, usize) {
         let z0 = tile * self.params.t;
         let z1 = (z0 + self.params.t).min(self.spec.nz);
         (z0, z1)
     }
 
-    /// Routes a consumed receive buffer back to its owner: the waited
-    /// tile's persistent plan (session mode) or the recycle pool.
-    fn finish_recv(&mut self, recv: Vec<Complex64>) {
-        match self.pending_plan.take() {
-            Some(tile) => {
-                let plan = self
-                    .plans
-                    .as_mut()
-                    .and_then(|p| p[tile].as_mut())
-                    .expect("plan-owned recv buffer without its plan");
-                plan.restore_recv(recv);
-            }
-            None => self.recv_pool.put(recv),
-        }
-    }
-
-    /// One `MPI_Test` on `req`, whichever exchange mode it belongs to.
+    /// One `MPI_Test` on `req`.
     fn try_test(&mut self, req: &mut RealReq) -> Result<bool, CollError> {
-        let comm = self.comm;
         match req {
-            RealReq::AdHoc(r) => r.try_test(comm),
-            RealReq::Persistent(tile) => self
-                .plans
-                .as_mut()
-                .and_then(|p| p[*tile].as_mut())
-                .expect("in-flight persistent execution without its plan")
-                .try_test(comm),
+            RealReq::Persistent(tile) => self.plans.try_test(*tile),
             // A withheld exchange never completes; the failure surfaces at
             // wait time, where the driver can heal it.
             RealReq::Poisoned(_) => Ok(false),
@@ -385,40 +290,15 @@ impl<'a> RealEnv<'a> {
     /// free of the crash/bit-flip injection points so a retransmitted
     /// exchange is never re-poisoned by the same planned fault.
     fn post_exchange(&mut self, tile: usize, xg: &TileExchange) -> RealReq {
-        let comm = self.comm;
         let t0 = Instant::now();
-        let req = match self.plans.as_mut() {
-            Some(plans) => {
-                // Session mode: init the tile's persistent plan lazily on
-                // its first execution; every later execution just starts it
-                // — zero per-execution negotiation.
-                if plans[tile].is_none() {
-                    let recv = vec![Complex64::ZERO; xg.total_recv];
-                    plans[tile] = Some(comm.alltoallv_init(&xg.send_counts, &xg.recv_counts, recv));
-                    self.setups += 1;
-                }
-                plans[tile]
-                    .as_mut()
-                    .expect("just initialised")
-                    .start(comm, &self.send[..xg.total_send]);
-                RealReq::Persistent(tile)
-            }
-            None => {
-                let recv = self.recv_pool.take(xg.total_recv);
-                self.setups += 1;
-                RealReq::AdHoc(comm.ialltoallv(
-                    &self.send[..xg.total_send],
-                    &xg.send_counts,
-                    &xg.recv_counts,
-                    recv,
-                ))
-            }
-        };
+        // The tile's plan is initialised on its first post; every later
+        // post just starts it — zero per-execution negotiation.
+        self.plans.start(tile, xg, &self.send[..xg.total_send]);
         let t1 = Instant::now();
         self.steps.ialltoall += (t1 - t0).as_secs_f64();
         let bytes = (xg.total_send * std::mem::size_of::<Complex64>()) as u64;
         self.record_span(t0, t1, EventKind::PostA2a { tile, bytes });
-        req
+        RealReq::Persistent(tile)
     }
 }
 
@@ -453,7 +333,7 @@ fn abft_agrees(sum_fft: &[Complex64], post_sum: &[Complex64], batch: usize) -> b
     worst <= ABFT_TOL * scale * (batch.max(sum_fft.len()).max(1)) as f64
 }
 
-impl<'a> OverlapEnv for RealEnv<'a> {
+impl OverlapEnv for RealEnv<'_, '_> {
     type Req = RealReq;
 
     fn num_tiles(&self) -> usize {
@@ -728,53 +608,21 @@ impl<'a> OverlapEnv for RealEnv<'a> {
                 Error::IntegrityFailed { tile, stage },
             ));
         }
-        let comm = self.comm;
         let t0 = Instant::now();
-        // Resolve the exchange to a completed receive buffer (or a
-        // retryable error); the timing and trace bookkeeping is shared.
-        type WaitOutcome<R> = Result<(Vec<Complex64>, Option<usize>), (R, CollError)>;
-        let outcome: WaitOutcome<Self::Req> = match req {
-            RealReq::AdHoc(mut r) => match self.stall_timeout {
-                None => {
-                    // Legacy blocking wait: spins (with parking) until
-                    // complete, panics on an unrecoverable collective fault.
-                    Ok((r.wait(comm), None))
-                }
-                Some(timeout) => match r.wait_timeout(comm, timeout) {
-                    Ok(()) => Ok((r.take_recv(), None)),
-                    // Hand the live request back: the driver may retry it
-                    // after a degradation step, or cancel it.
-                    Err(e) => Err((RealReq::AdHoc(r), e)),
-                },
-            },
-            RealReq::Persistent(pt) => {
-                let plan = self
-                    .plans
-                    .as_mut()
-                    .and_then(|p| p[pt].as_mut())
-                    .expect("in-flight persistent execution without its plan");
-                match self.stall_timeout {
-                    None => {
-                        plan.wait(comm);
-                        Ok((plan.take_recv(), Some(pt)))
-                    }
-                    Some(timeout) => match plan.wait_timeout(comm, timeout) {
-                        Ok(()) => Ok((plan.take_recv(), Some(pt))),
-                        // The execution stays alive inside the plan; the
-                        // handle going back to the driver is just the tile.
-                        Err(e) => Err((RealReq::Persistent(pt), e)),
-                    },
-                }
-            }
-            RealReq::Poisoned(_) => unreachable!("handled above"),
-        };
+        // Without a watchdog the wait blocks until complete (panicking on
+        // an unrecoverable collective fault); with one, a stall leaves the
+        // execution alive inside the plan and hands the tile back to the
+        // driver, which may retry it after a degradation step or cancel it.
+        let outcome = self
+            .plans
+            .wait(tile, self.stall_timeout)
+            .map_err(|e| (req, e));
         let t1 = Instant::now();
         self.steps.wait += (t1 - t0).as_secs_f64();
         self.record_span(t0, t1, EventKind::Wait { tile });
         match outcome {
-            Ok((recv, from_plan)) => {
+            Ok(recv) => {
                 self.pending_recv = Some(recv);
-                self.pending_plan = from_plan;
                 Ok(())
             }
             Err((req, e)) => {
@@ -804,7 +652,7 @@ impl<'a> OverlapEnv for RealEnv<'a> {
         let nx = self.spec.nx;
         let nyl = self.nyl;
         if nyl == 0 || tz == 0 {
-            self.finish_recv(recv);
+            self.plans.restore_recv(tile, recv);
             return Ok(());
         }
         let (uy, uz) = (self.params.uy.min(nyl), self.params.uz.min(tz));
@@ -950,7 +798,7 @@ impl<'a> OverlapEnv for RealEnv<'a> {
                 self.poll_inflight(inflight, due)?;
             }
         }
-        self.finish_recv(recv);
+        self.plans.restore_recv(tile, recv);
         Ok(())
     }
 
@@ -984,20 +832,12 @@ impl<'a> OverlapEnv for RealEnv<'a> {
 
     fn cancel(&mut self, _tile: usize, req: Self::Req) {
         // Reclaim whatever the abandoned exchange staged in this rank's
-        // mailbox so nothing leaks past the error path.
-        match req {
-            RealReq::AdHoc(r) => {
-                r.cancel(self.comm);
-            }
-            RealReq::Persistent(tile) => {
-                // Free the whole plan — its in-flight execution is purged
-                // with it; a later execution re-inits the tile lazily.
-                if let Some(plan) = self.plans.as_mut().and_then(|p| p[tile].take()) {
-                    plan.free(self.comm);
-                }
-            }
-            // A poisoned request never staged anything.
-            RealReq::Poisoned(_) => {}
+        // mailbox so nothing leaks past the error path: free the whole plan
+        // — its in-flight execution is purged with it; a later post
+        // re-inits the tile lazily. A poisoned request never staged
+        // anything.
+        if let RealReq::Persistent(tile) = req {
+            self.plans.cancel(tile);
         }
     }
 
@@ -1057,6 +897,10 @@ impl<'a> OverlapEnv for RealEnv<'a> {
 /// elements). Returns this rank's y-slab of the result plus statistics.
 /// Collective: every rank of `comm` must call this with consistent
 /// arguments.
+///
+/// # Panics
+/// On infeasible parameters or an unrecoverable pipeline fault; use
+/// [`try_fft3_dist`] for the typed error path.
 pub fn fft3_dist(
     comm: &Comm,
     spec: ProblemSpec,
@@ -1066,50 +910,10 @@ pub fn fft3_dist(
     rigor: Rigor,
     input: &[Complex64],
 ) -> RunOutput {
-    fft3_dist_traced(
-        comm,
-        spec,
-        variant,
-        params,
-        dir,
-        rigor,
-        input,
-        &mut NoopRecorder,
-    )
-}
-
-/// [`fft3_dist`] with per-tile event tracing: every phase span, poll and
-/// wait on this rank is appended to `recorder` (see [`crate::trace`]).
-/// Passing a [`NoopRecorder`] makes this identical to [`fft3_dist`].
-///
-/// # Panics
-/// On infeasible parameters or an unrecoverable pipeline fault; use
-/// [`try_fft3_dist_traced`] for the typed error path.
-#[allow(clippy::too_many_arguments)]
-pub fn fft3_dist_traced(
-    comm: &Comm,
-    spec: ProblemSpec,
-    variant: Variant,
-    params: TuningParams,
-    dir: Direction,
-    rigor: Rigor,
-    input: &[Complex64],
-    recorder: &mut dyn Recorder,
-) -> RunOutput {
-    try_fft3_dist_traced(
-        comm,
-        spec,
-        variant,
-        params,
-        dir,
-        rigor,
-        input,
-        &Resilience::default(),
-        recorder,
-    )
-    // Display keeps the legacy "infeasible parameters: …" wording that
-    // callers of the panicking API match on.
-    .unwrap_or_else(|e| panic!("{e}"))
+    try_fft3_dist(comm, spec, variant, params, dir, rigor, input)
+        // Display keeps the legacy "infeasible parameters: …" wording that
+        // callers of the panicking API match on.
+        .unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Fallible [`fft3_dist`]: infeasible parameters come back as
@@ -1145,6 +949,11 @@ pub fn try_fft3_dist(
 /// window → blocking fallback) before giving up; what it did is reported
 /// in [`RunOutput::recovery`]. On the error path every in-flight exchange
 /// is cancelled before returning — no staged messages leak.
+///
+/// A one-shot call is an [`FftSession`] executed once: every tile's
+/// exchange runs on a persistent plan that is set up on the tile's first
+/// post and freed on return, so the call reports one exchange setup per
+/// tile. Receive staging is one buffer per tile — one y-slab in all.
 #[allow(clippy::too_many_arguments)]
 pub fn try_fft3_dist_traced(
     comm: &Comm,
@@ -1157,194 +966,17 @@ pub fn try_fft3_dist_traced(
     resilience: &Resilience,
     recorder: &mut dyn Recorder,
 ) -> Result<RunOutput, Error> {
-    run_dist(
-        comm, spec, variant, params, dir, rigor, input, resilience, recorder, None,
-    )
-}
-
-/// Shared implementation behind the one-shot entry points (`plans: None` —
-/// ad-hoc exchanges) and [`FftSession::execute`] (`plans: Some` — the
-/// session's per-tile persistent plans).
-#[allow(clippy::too_many_arguments)]
-fn run_dist(
-    comm: &Comm,
-    spec: ProblemSpec,
-    variant: Variant,
-    params: TuningParams,
-    dir: Direction,
-    rigor: Rigor,
-    input: &[Complex64],
-    resilience: &Resilience,
-    recorder: &mut dyn Recorder,
-    mut plans: Option<&mut TilePlans>,
-) -> Result<RunOutput, Error> {
-    assert_eq!(comm.size(), spec.p, "communicator size must match spec.p");
-    // A zero-extent axis has no transform; planning a size-1 stand-in (as
-    // this path once did via `.max(1)`) would silently "succeed" on an
-    // empty problem. Reject it for every variant before touching plans.
-    for (axis, n) in [("nx", spec.nx), ("ny", spec.ny), ("nz", spec.nz)] {
-        if n == 0 {
-            return Err(Error::from(ParamError::ZeroExtent(axis)));
-        }
-    }
-    let rank = comm.rank();
-    let decomp = Decomp::new(spec.nx, spec.ny, spec.p);
-    let nxl = decomp.x.count(rank);
-    let nyl = decomp.y.count(rank);
-    assert_eq!(
-        input.len(),
-        nxl * spec.ny * spec.nz,
-        "input must be this rank's x-slab in x-y-z layout"
-    );
-
-    // Resolve the effective parameters and styles per variant.
-    let (params, transpose_style) = match variant {
-        Variant::New => {
-            // The non-overlapped NEW-0 encoding sets `w = 0`, which the
-            // window-range rule rejects — but every other constraint must
-            // still hold (a zero `Px`/`Uy`/`T` would divide by zero below).
-            if params.w == 0 {
-                params.validate_without_window(&spec)
-            } else {
-                params.validate(&spec)
-            }
-            .map_err(Error::from)?;
-            let style = if spec.square_xy() {
-                TransposeStyle::Fast
-            } else {
-                TransposeStyle::Generic
-            };
-            (params, style)
-        }
-        Variant::Th => {
-            // TH: tile/window honoured, but no loop tiling and no polls
-            // outside FFTy/Pack; plain transpose.
-            let nxl_max = decomp.x.max_count().max(1);
-            let nyl_max = decomp.y.max_count().max(1);
-            let p = TuningParams {
-                t: params.t,
-                w: params.w,
-                px: nxl_max,
-                pz: params.t,
-                uy: nyl_max,
-                uz: params.t,
-                fy: params.fy,
-                fp: params.fp,
-                fu: 0,
-                fx: 0,
-                threads: params.threads.max(1),
-            };
-            (p, TransposeStyle::Naive)
-        }
-        Variant::Fftw => {
-            // One tile spanning the whole slab, no window, no polls.
-            let p = TuningParams {
-                t: spec.nz,
-                w: 0,
-                px: decomp.x.max_count().max(1),
-                pz: spec.nz,
-                uy: decomp.y.max_count().max(1),
-                uz: spec.nz,
-                fy: 0,
-                fp: 0,
-                fu: 0,
-                fx: 0,
-                threads: params.threads.max(1),
-            };
-            (p, TransposeStyle::Generic)
-        }
-    };
-
-    // Draw plans from the process-wide cache: any geometry this process has
-    // transformed before (at this rigor) costs zero planning here, and when
-    // all `p` rank threads arrive at once only one of them measures.
-    let cache = PlanCache::global();
-    let (plan_z, spent_z) = cache.plan_timed(spec.nz, dir, rigor);
-    let (plan_y, spent_y) = cache.plan_timed(spec.ny, dir, rigor);
-    let (plan_x, spent_x) = cache.plan_timed(spec.nx, dir, rigor);
-    let planning = spent_z + spent_y + spent_x;
-    let scratch_len = plan_z
-        .scratch_len()
-        .max(plan_y.scratch_len())
-        .max(plan_x.scratch_len());
-
-    let layout = if transpose_style == TransposeStyle::Fast {
-        OutLayout::Yzx
-    } else {
-        OutLayout::Zyx
-    };
-    // Exchange geometry from the process-wide cache: a repeat of this
-    // (shape, tile) does zero schedule setup here.
-    let (geom, _cached) = TransformPlanCache::global().geometry(&spec, rank, params.t);
-    // Size the session's plan table on first use; tiles freed by a cancel
-    // stay None and re-init lazily.
-    if let Some(p) = plans.as_deref_mut() {
-        if p.len() != geom.tiles.len() {
-            p.clear();
-            p.resize_with(geom.tiles.len(), || None);
-        }
-    }
-    let mut env = RealEnv {
-        comm,
-        spec,
-        params,
-        geom,
-        plans,
-        setups: 0,
-        nxl,
-        nyl,
-        decomp,
-        transpose_style,
-        layout,
-        plan_z,
-        plan_y,
-        plan_x,
-        plan_scratch: vec![Complex64::ZERO; scratch_len],
-        input: input.to_vec(),
-        zxy: vec![Complex64::ZERO; nxl * spec.ny * spec.nz],
-        out: vec![Complex64::ZERO; spec.nz * nyl * spec.nx],
-        send: Vec::new(),
-        send_cap: params.t * nxl * spec.ny,
-        send_hash: 0,
-        abft_line: Vec::new(),
-        abft_post: Vec::new(),
-        recv_pool: BufferPool::new(params.w + 1, params.t * spec.nx * nyl),
-        pending_recv: None,
-        pending_plan: None,
-        stall_timeout: resilience.stall_timeout,
-        poll_boost: resilience.poll_boost,
-        boosted: false,
-        steps: StepTimes::default(),
-        tests: 0,
-        started: Instant::now(),
-        recorder,
-    };
-
-    let recovery = match variant {
-        Variant::Th => try_run_th(&mut env, resilience)?,
-        _ => try_run_new(&mut env, resilience)?,
-    };
-
-    let elapsed = env.started.elapsed().as_secs_f64();
-    Ok(RunOutput {
-        data: std::mem::take(&mut env.out),
-        layout,
-        stats: RunStats {
-            steps: env.steps,
-            elapsed,
-            tests: env.tests,
-        },
-        recovery,
-        planning,
-        exchange_setups: env.setups,
-    })
+    FftSession::new(comm, spec, variant, params, dir, rigor)
+        .execute_traced(input, resilience, recorder)
 }
 
 /// Setup-once / execute-many handle for a repeated distributed transform —
-/// the user-facing face of the persistent all-to-all plans.
+/// the user-facing face of the persistent all-to-all plans, and the only
+/// implementation of the real slab backend (the one-shot entry points
+/// execute a session once).
 ///
 /// A session pins `(comm, spec, variant, params, dir, rigor)` and owns one
-/// [`PersistentAlltoall`] per communication tile. The first
+/// persistent all-to-all plan per communication tile. The first
 /// [`FftSession::execute`] initialises each tile's plan as it is first
 /// posted (and plans the FFT kernels, unless already cached); every
 /// execution after that does **zero planning and zero exchange setup** —
@@ -1359,7 +991,7 @@ pub struct FftSession<'a> {
     params: TuningParams,
     dir: Direction,
     rigor: Rigor,
-    plans: TilePlans,
+    plans: TilePlans<&'a Comm>,
     executions: u64,
     checkpoint_interval: Option<u64>,
     checkpoint: Option<crate::recover::Checkpoint>,
@@ -1384,7 +1016,7 @@ impl<'a> FftSession<'a> {
             params,
             dir,
             rigor,
-            plans: Vec::new(),
+            plans: TilePlans::new(comm, 0),
             executions: 0,
             checkpoint_interval: None,
             checkpoint: None,
@@ -1419,7 +1051,7 @@ impl<'a> FftSession<'a> {
     }
 
     /// [`Self::execute`] with tracing and an explicit [`Resilience`]
-    /// policy (the [`try_fft3_dist_traced`] of the session path).
+    /// policy (see [`try_fft3_dist_traced`]).
     pub fn execute_traced(
         &mut self,
         input: &[Complex64],
@@ -1437,18 +1069,168 @@ impl<'a> FftSession<'a> {
                 ));
             }
         }
-        run_dist(
+        let (comm, spec, variant, params, dir, rigor) = (
             self.comm,
             self.spec,
             self.variant,
             self.params,
             self.dir,
             self.rigor,
-            input,
-            resilience,
+        );
+        assert_eq!(comm.size(), spec.p, "communicator size must match spec.p");
+        // A zero-extent axis has no transform; planning a size-1 stand-in (as
+        // this path once did via `.max(1)`) would silently "succeed" on an
+        // empty problem. Reject it for every variant before touching plans.
+        for (axis, n) in [("nx", spec.nx), ("ny", spec.ny), ("nz", spec.nz)] {
+            if n == 0 {
+                return Err(Error::from(ParamError::ZeroExtent(axis)));
+            }
+        }
+        let rank = comm.rank();
+        let decomp = Decomp::new(spec.nx, spec.ny, spec.p);
+        let nxl = decomp.x.count(rank);
+        let nyl = decomp.y.count(rank);
+        assert_eq!(
+            input.len(),
+            nxl * spec.ny * spec.nz,
+            "input must be this rank's x-slab in x-y-z layout"
+        );
+
+        // Resolve the effective parameters and styles per variant.
+        let (params, transpose_style) = match variant {
+            Variant::New => {
+                // The non-overlapped NEW-0 encoding sets `w = 0`, which the
+                // window-range rule rejects — but every other constraint must
+                // still hold (a zero `Px`/`Uy`/`T` would divide by zero below).
+                if params.w == 0 {
+                    params.validate_without_window(&spec)
+                } else {
+                    params.validate(&spec)
+                }
+                .map_err(Error::from)?;
+                let style = if spec.square_xy() {
+                    TransposeStyle::Fast
+                } else {
+                    TransposeStyle::Generic
+                };
+                (params, style)
+            }
+            Variant::Th => {
+                // TH: tile/window honoured, but no loop tiling and no polls
+                // outside FFTy/Pack; plain transpose.
+                let nxl_max = decomp.x.max_count().max(1);
+                let nyl_max = decomp.y.max_count().max(1);
+                let p = TuningParams {
+                    t: params.t,
+                    w: params.w,
+                    px: nxl_max,
+                    pz: params.t,
+                    uy: nyl_max,
+                    uz: params.t,
+                    fy: params.fy,
+                    fp: params.fp,
+                    fu: 0,
+                    fx: 0,
+                    threads: params.threads.max(1),
+                };
+                (p, TransposeStyle::Naive)
+            }
+            Variant::Fftw => {
+                // One tile spanning the whole slab, no window, no polls.
+                let p = TuningParams {
+                    t: spec.nz,
+                    w: 0,
+                    px: decomp.x.max_count().max(1),
+                    pz: spec.nz,
+                    uy: decomp.y.max_count().max(1),
+                    uz: spec.nz,
+                    fy: 0,
+                    fp: 0,
+                    fu: 0,
+                    fx: 0,
+                    threads: params.threads.max(1),
+                };
+                (p, TransposeStyle::Generic)
+            }
+        };
+
+        // Draw plans from the process-wide cache: any geometry this process has
+        // transformed before (at this rigor) costs zero planning here, and when
+        // all `p` rank threads arrive at once only one of them measures.
+        let cache = PlanCache::global();
+        let (plan_z, spent_z) = cache.plan_timed(spec.nz, dir, rigor);
+        let (plan_y, spent_y) = cache.plan_timed(spec.ny, dir, rigor);
+        let (plan_x, spent_x) = cache.plan_timed(spec.nx, dir, rigor);
+        let planning = spent_z + spent_y + spent_x;
+        let scratch_len = plan_z
+            .scratch_len()
+            .max(plan_y.scratch_len())
+            .max(plan_x.scratch_len());
+
+        let layout = if transpose_style == TransposeStyle::Fast {
+            OutLayout::Yzx
+        } else {
+            OutLayout::Zyx
+        };
+        // Exchange geometry from the process-wide cache: a repeat of this
+        // (shape, tile) does zero schedule setup here.
+        let (geom, _cached) = TransformPlanCache::global().geometry(&spec, rank, params.t);
+        // Size the plan table on first use; tiles freed by a cancel stay empty
+        // and re-init lazily.
+        self.plans.fit(geom.tiles.len());
+        let setups_before = self.plans.setups();
+        let mut env = RealEnv {
+            comm,
+            spec,
+            params,
+            geom,
+            plans: &mut self.plans,
+            nxl,
+            nyl,
+            decomp,
+            transpose_style,
+            layout,
+            plan_z,
+            plan_y,
+            plan_x,
+            plan_scratch: vec![Complex64::ZERO; scratch_len],
+            input: input.to_vec(),
+            zxy: vec![Complex64::ZERO; nxl * spec.ny * spec.nz],
+            out: vec![Complex64::ZERO; spec.nz * nyl * spec.nx],
+            send: Vec::new(),
+            send_cap: params.t * nxl * spec.ny,
+            send_hash: 0,
+            abft_line: Vec::new(),
+            abft_post: Vec::new(),
+            pending_recv: None,
+            stall_timeout: resilience.stall_timeout,
+            poll_boost: resilience.poll_boost,
+            boosted: false,
+            steps: StepTimes::default(),
+            tests: 0,
+            started: Instant::now(),
             recorder,
-            Some(&mut self.plans),
-        )
+        };
+
+        let recovery = match variant {
+            Variant::Th => try_run_th(&mut env, resilience)?,
+            _ => try_run_new(&mut env, resilience)?,
+        };
+
+        let elapsed = env.started.elapsed().as_secs_f64();
+        let (data, steps, tests) = (std::mem::take(&mut env.out), env.steps, env.tests);
+        Ok(RunOutput {
+            data,
+            layout,
+            stats: RunStats {
+                steps,
+                elapsed,
+                tests,
+            },
+            recovery,
+            planning,
+            exchange_setups: self.plans.setups() - setups_before,
+        })
     }
 
     /// Executions attempted over this session's lifetime.
@@ -1459,25 +1241,13 @@ impl<'a> FftSession<'a> {
     /// Live per-tile persistent plans (tiles not yet posted, or freed by a
     /// fault path, have none).
     pub fn live_plans(&self) -> usize {
-        self.plans.iter().flatten().count()
+        self.plans.live()
     }
 
     /// Releases every persistent plan. Equivalent to dropping the session,
     /// but explicit at call sites that want the free visible.
     pub fn free(mut self) {
-        self.release();
-    }
-
-    fn release(&mut self) {
-        for plan in self.plans.drain(..).flatten() {
-            plan.free(self.comm);
-        }
-    }
-}
-
-impl Drop for FftSession<'_> {
-    fn drop(&mut self) {
-        self.release();
+        self.plans.free_all();
     }
 }
 
@@ -1859,8 +1629,8 @@ mod tests {
 
     #[test]
     fn one_shot_calls_keep_paying_setup_per_tile() {
-        // Contrast case for the session test above: fft3_dist's ad-hoc
-        // exchanges negotiate a schedule on every post, every call.
+        // Contrast case for the session test above: a one-shot fft3_dist
+        // is a session executed once, so every call sets up every tile.
         let spec = ProblemSpec::cube(8, 2);
         let params = TuningParams::seed(&spec);
         let k = params.tiles(&spec) as u64;
@@ -1888,47 +1658,8 @@ mod tests {
         });
         for (a, b) in setups {
             assert_eq!(a, k);
-            assert_eq!(b, k, "ad-hoc path re-negotiates every call");
+            assert_eq!(b, k, "a one-shot call sets up its plans afresh every call");
         }
-    }
-
-    #[test]
-    fn buffer_pool_caps_retained_buffers() {
-        // Regression: the recv pool used to be an unbounded Vec that only
-        // ever grew; returns beyond the pipeline's working set are dropped.
-        let mut pool = BufferPool::new(3, 100);
-        for _ in 0..8 {
-            pool.put(vec![Complex64::ZERO; 10]);
-        }
-        assert_eq!(pool.retained(), 3);
-        assert!(pool.retained_capacity() <= 3 * 100);
-    }
-
-    #[test]
-    fn buffer_pool_shrinks_oversized_returns() {
-        // Regression: a buffer sized for a peak tile used to keep its full
-        // capacity forever; now it is shrunk to the per-buffer cap.
-        let mut pool = BufferPool::new(4, 8);
-        pool.put(vec![Complex64::ZERO; 64]);
-        assert!(
-            pool.retained_capacity() <= 8,
-            "capacity {}",
-            pool.retained_capacity()
-        );
-        let b = pool.take(4);
-        assert_eq!(b.len(), 4);
-        assert!(b.capacity() < 64);
-    }
-
-    #[test]
-    fn buffer_pool_recycles_and_zeroes() {
-        let mut pool = BufferPool::new(2, 16);
-        let mut b = pool.take(4);
-        b.fill(Complex64::new(7.0, 7.0));
-        pool.put(b);
-        let b = pool.take(8);
-        assert!(b.iter().all(|&c| c == Complex64::ZERO));
-        assert_eq!(pool.retained(), 0);
     }
 
     #[test]

@@ -17,20 +17,29 @@
 //! unlike a persistent collective (which pins runtime state and must be
 //! freed before its world tears down), geometry can outlive any number of
 //! worlds and be shared freely across rank threads via `Arc`.
+//!
+//! The live half of the plan is [`TilePlans`]: one persistent all-to-all
+//! per tile, built lazily from that tile's [`TileExchange`] and owned by
+//! the session that executes it. Every real-backend tile exchange — slab
+//! and pencil, session or one-shot call — runs through it.
 
 use crate::decomp::{AxisSplit, Decomp};
 use crate::params::ProblemSpec;
+use cfft::Complex64;
+use mpisim::{CollError, Comm, PersistentAlltoall};
 use parking_lot::Mutex;
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
+use std::time::Duration;
 
 /// Bound on resident geometries; far above a realistic working set but keeps
 /// a pathological caller (e.g. a tuner sweeping thousands of tile sizes)
 /// from growing the map without limit.
 const DEFAULT_CAPACITY: usize = 1024;
 
-/// One tile's exchange geometry: everything `ialltoallv` (or a persistent
-/// plan's init) needs besides the data itself.
+/// One tile's exchange geometry: everything a persistent plan's
+/// `alltoallv_init` needs besides the data itself.
 #[derive(Debug)]
 pub struct TileExchange {
     /// Elements this rank sends to each destination rank.
@@ -150,6 +159,142 @@ fn build_pencil(spec: &ProblemSpec, pr: usize, pc: usize, rank: usize, t: usize)
     PencilGeometry {
         row: row_tiles,
         col: col_tiles,
+    }
+}
+
+/// Per-tile persistent exchange plans over one communicator — the live
+/// companion of a geometry's [`TileExchange`]s.
+///
+/// A tile's plan is initialised (`alltoallv_init`) the first time the tile
+/// posts and merely restarted on every later post, so a table executed `R`
+/// times pays one setup per tile, not `R`. Receive staging is one buffer
+/// per tile, registered at init and lent out between wait and unpack.
+/// Cancelling a tile frees its plan (purging any in-flight execution); the
+/// slot re-initialises on the next post. Dropping the table frees every
+/// plan, so no exit path — `?`, error, or unwind — leaks one (MC006).
+///
+/// `C` is how the table holds its communicator: borrowed (`&Comm`) by a
+/// slab session, owned (`Comm`) for a pencil session's subcommunicators.
+pub(crate) struct TilePlans<C: Borrow<Comm>> {
+    comm: C,
+    plans: Vec<Option<PersistentAlltoall<Complex64>>>,
+    setups: u64,
+}
+
+impl<C: Borrow<Comm>> TilePlans<C> {
+    /// An empty table of `tiles` slots over `comm`; no setup happens here.
+    pub(crate) fn new(comm: C, tiles: usize) -> Self {
+        TilePlans {
+            comm,
+            plans: (0..tiles).map(|_| None).collect(),
+            setups: 0,
+        }
+    }
+
+    /// The communicator every plan of the table runs on.
+    pub(crate) fn comm(&self) -> &Comm {
+        self.comm.borrow()
+    }
+
+    /// Resizes the table to `tiles` slots; a no-op when already that size.
+    /// A resize frees every live plan first.
+    pub(crate) fn fit(&mut self, tiles: usize) {
+        if self.plans.len() != tiles {
+            self.free_all();
+            self.plans.resize_with(tiles, || None);
+        }
+    }
+
+    /// Plan initialisations over the table's lifetime.
+    pub(crate) fn setups(&self) -> u64 {
+        self.setups
+    }
+
+    /// Tiles whose plan is currently initialised.
+    pub(crate) fn live(&self) -> usize {
+        self.plans.iter().flatten().count()
+    }
+
+    /// Starts `tile`'s exchange of `send`, initialising the tile's plan
+    /// from its geometry `xg` on first use.
+    pub(crate) fn start(&mut self, tile: usize, xg: &TileExchange, send: &[Complex64]) {
+        let comm = self.comm.borrow();
+        if self.plans[tile].is_none() {
+            let recv = vec![Complex64::ZERO; xg.total_recv];
+            self.plans[tile] = Some(comm.alltoallv_init(&xg.send_counts, &xg.recv_counts, recv));
+            self.setups += 1;
+        }
+        self.plans[tile]
+            .as_mut()
+            .expect("just initialised")
+            .start(comm, send);
+    }
+
+    /// One `MPI_Test` on `tile`'s execution.
+    pub(crate) fn try_test(&mut self, tile: usize) -> Result<bool, CollError> {
+        live_plan(&mut self.plans, tile).try_test(self.comm.borrow())
+    }
+
+    /// Waits for `tile`'s execution and lends out its receive buffer,
+    /// which must come back through [`Self::restore_recv`] before the
+    /// tile's next start. `None` blocks until completion (panicking on an
+    /// unrecoverable fault); with a timeout, a stall comes back as the
+    /// typed error and the execution stays live for a retry or a cancel.
+    pub(crate) fn wait(
+        &mut self,
+        tile: usize,
+        timeout: Option<Duration>,
+    ) -> Result<Vec<Complex64>, CollError> {
+        let comm = self.comm.borrow();
+        let plan = live_plan(&mut self.plans, tile);
+        match timeout {
+            None => {
+                plan.wait(comm);
+            }
+            Some(timeout) => plan.wait_timeout(comm, timeout)?,
+        }
+        Ok(plan.take_recv())
+    }
+
+    /// Returns a buffer lent out by [`Self::wait`] to `tile`'s plan.
+    pub(crate) fn restore_recv(&mut self, tile: usize, recv: Vec<Complex64>) {
+        live_plan(&mut self.plans, tile).restore_recv(recv);
+    }
+
+    /// Abandons `tile`'s exchange by freeing its plan, purging whatever
+    /// the execution staged in this rank's mailbox.
+    pub(crate) fn cancel(&mut self, tile: usize) {
+        if let Some(plan) = self.plans[tile].take() {
+            plan.free(self.comm.borrow());
+        }
+    }
+
+    /// Frees every live plan; returns how many there were.
+    pub(crate) fn free_all(&mut self) -> usize {
+        let comm = self.comm.borrow();
+        let mut freed = 0;
+        for plan in self.plans.iter_mut().filter_map(Option::take) {
+            plan.free(comm);
+            freed += 1;
+        }
+        freed
+    }
+}
+
+/// The initialised plan of `tile`, which an in-flight or waited exchange
+/// always has.
+fn live_plan(
+    plans: &mut [Option<PersistentAlltoall<Complex64>>],
+    tile: usize,
+) -> &mut PersistentAlltoall<Complex64> {
+    plans[tile]
+        .as_mut()
+        .expect("exchange of a tile without its plan")
+}
+
+impl<C: Borrow<Comm>> Drop for TilePlans<C> {
+    fn drop(&mut self) {
+        self.free_all();
     }
 }
 
@@ -473,7 +618,7 @@ mod tests {
 
         // Pairwise consistency: what rank (r, c) sends to row-peer j must be
         // what (r, j) expects from source c, tile by tile — and likewise for
-        // the column exchange. This is the invariant `ialltoallv` asserts at
+        // the column exchange. This is the invariant every exchange asserts at
         // runtime; pin it statically here.
         let geoms: Vec<_> = (0..spec.p)
             .map(|rank| cache.pencil_geometry(&spec, pr, pc, rank, 2).0)

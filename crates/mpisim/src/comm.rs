@@ -21,6 +21,11 @@ pub(crate) fn encode_tag(ctx: u64, kind: Kind, payload: u64) -> u64 {
     (ctx << 44) | ((kind as u64) << 40) | payload
 }
 
+/// The communicator context a mailbox tag was encoded under.
+fn tag_ctx(tag: u64) -> u64 {
+    tag >> 44
+}
+
 fn mix_ctx(parent: u64, seq: u64, color: i64) -> u64 {
     // SplitMix64-style mixing, truncated to the 20 bits the tag layout
     // reserves for context ids. Collisions across live communicators are
@@ -121,6 +126,22 @@ impl Comm {
     /// quiesced world reports 0 everywhere).
     pub fn pending_messages(&self) -> usize {
         self.my_mailbox().len()
+    }
+
+    /// Discards every message still queued (or held) for this communicator
+    /// in this rank's mailbox; returns how many there were. Call it when
+    /// the communicator is about to be dropped (the `MPI_Comm_free` of a
+    /// subcommunicator): `cancel` reclaims the traffic of collectives this
+    /// rank posted, but a peer's round block for a collective this rank
+    /// never posted — it gave up before reaching it — can be reclaimed
+    /// only here. Messages delivered after the call are not reclaimed. A
+    /// no-op after a world abort, like `cancel`.
+    pub fn discard_pending(&self) -> usize {
+        if self.world_aborted() {
+            return 0;
+        }
+        let ctx = self.ctx;
+        self.my_mailbox().purge(|m| tag_ctx(m.tag) == ctx)
     }
 
     /// A cooperative scheduling point: gives the virtual scheduler (checked
@@ -653,6 +674,27 @@ mod tests {
             let got = sub.recv_vec::<u32>(peer, 0);
             // The peer's world rank differs from ours by 2.
             assert_eq!((got[0] as i64 - comm.rank() as i64).abs(), 2);
+        });
+    }
+
+    #[test]
+    fn discard_pending_reclaims_only_its_own_context() {
+        run(2, |comm| {
+            let sub = comm.dup();
+            if comm.rank() == 0 {
+                // Traffic rank 1 will never receive on `sub`, plus one
+                // message on the parent it will.
+                sub.send(&[1u32], 1, 4);
+                sub.send(&[2u32], 1, 5);
+                comm.send(&[3u32], 1, 4);
+            }
+            comm.barrier();
+            if comm.rank() == 1 {
+                assert_eq!(comm.pending_messages(), 3);
+                assert_eq!(sub.discard_pending(), 2);
+                assert_eq!(comm.recv_vec::<u32>(0, 4), vec![3]);
+            }
+            assert_eq!(comm.pending_messages(), 0);
         });
     }
 

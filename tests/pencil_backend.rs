@@ -4,21 +4,23 @@
 //! and both transform directions, the simulated overlap win at 256 ranks,
 //! slab/pencil auto-selection on both sides of the crossover, the typed
 //! error contracts of the `try_` entry points (the two pinned regressions
-//! of this sweep), and stall recovery across the two exchange rounds.
+//! of this sweep), stall recovery across the two exchange rounds, and the
+//! cleanup contracts: a blackholed one-shot run leaves no staged messages,
+//! and a session dropped without `free()` leaks no persistent plan.
 
 use cfft::{Complex64, Direction};
 use fft3d::serial::{fft3_serial, full_test_array};
 use fft3d::{
     auto_select, compare_pencil_with_serial, pencil_overlap_simulated, pencil_seed,
     pencil_simulated, pencil_test_input, try_fft3_pencil, try_fft3_pencil_overlapped,
-    try_fft3_pencil_overlapped_traced, Decomposition, Error, NoopRecorder, PencilGrid, ProblemSpec,
-    Resilience,
+    try_fft3_pencil_overlapped_traced, Decomposition, Error, NoopRecorder, PencilGrid,
+    PencilSession, ProblemSpec, Resilience,
 };
-use mpisim::FaultPlan;
+use mpisim::{CheckConfig, FaultPlan, RunConfig};
 use proptest::prelude::*;
 use simnet::model::umd_cluster;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Seed for the fault plans in this file; CI sweeps a matrix of values.
 fn fault_seed() -> u64 {
@@ -232,5 +234,86 @@ fn pencil_straggler_stall_recovers_and_matches_serial() {
     assert!(
         stalls > 0,
         "a 60 ms send delay against a 15 ms watchdog must trip at least once"
+    );
+}
+
+/// A blackholed rank on the one-shot pencil path: rank 1's sends vanish
+/// from round 1 on, so every rank must surface a typed `Stalled` within
+/// the strike budget, and once all have erred the world must hold no
+/// staged round blocks. On the 2×2 grid the other row finishes its row
+/// exchange and sends column blocks to ranks 0 and 1, which never reach
+/// their column exchange: those blocks must be discarded with the
+/// session's subcommunicators, not left queued. The pencil twin of
+/// `blackholed_rank_surfaces_stalled_not_a_hang`.
+#[test]
+fn blackholed_pencil_rank_surfaces_stalled_and_leaves_no_messages() {
+    let spec = ProblemSpec::cube(12, 4);
+    let grid = PencilGrid::near_square(4);
+    let params = pencil_seed(&spec, grid);
+
+    let plan = FaultPlan::seeded(fault_seed()).with_blackhole(1, 0);
+    let res = Resilience {
+        stall_timeout: Some(Duration::from_millis(100)),
+        poll_boost: 4,
+        max_strikes: 2,
+    };
+    let started = Instant::now();
+    let results = mpisim::run_with_faults(spec.p, plan, move |comm| {
+        let input = pencil_test_input(&spec, grid, comm.rank());
+        let err = try_fft3_pencil_overlapped_traced(
+            &comm,
+            spec,
+            grid,
+            params,
+            Direction::Forward,
+            &input,
+            &res,
+            &mut NoopRecorder,
+        )
+        .map(|_| ())
+        .expect_err("a blackholed peer cannot produce a complete spectrum");
+        comm.barrier();
+        (err, comm.pending_messages())
+    });
+    let elapsed = started.elapsed();
+
+    for (rank, (err, pending)) in results.iter().enumerate() {
+        assert!(
+            matches!(err, Error::Stalled { .. }),
+            "rank {rank}: expected Stalled, got {err}"
+        );
+        assert_eq!(*pending, 0, "rank {rank}: staged messages leaked");
+    }
+    assert!(
+        elapsed < Duration::from_secs(20),
+        "stall detection took {elapsed:?}"
+    );
+}
+
+/// Pinned regression: a `PencilSession` dropped without `free()` — e.g. by
+/// an early `?` — frees its persistent plans on drop instead of leaking
+/// them, so a checked run records no MC006 `PersistentLeak`.
+#[test]
+fn pencil_session_dropped_without_free_leaks_no_plan() {
+    let spec = ProblemSpec::cube(8, 4);
+    let grid = PencilGrid::near_square(4);
+    let params = pencil_seed(&spec, grid);
+    let outcome = mpisim::run_with_config(
+        spec.p,
+        RunConfig::checked(CheckConfig::default()),
+        move |comm| {
+            let input = pencil_test_input(&spec, grid, comm.rank());
+            let mut session = PencilSession::new(&comm, spec, grid, params, Direction::Forward)
+                .expect("feasible session");
+            let out = session.execute(&input).expect("clean run");
+            assert!(out.exchange_setups > 0, "the execution set up its plans");
+            // Dropped here without `free()`.
+        },
+    );
+    assert!(outcome.results.is_some(), "the checked run completed");
+    assert!(
+        outcome.report.findings.is_empty(),
+        "findings: {:?}",
+        outcome.report.findings
     );
 }

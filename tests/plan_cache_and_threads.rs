@@ -108,7 +108,7 @@ fn session_executions_after_the_first_do_zero_setup() {
     });
     for (rank, (adhoc, setups, planning, exact)) in results.into_iter().enumerate() {
         assert!(exact, "rank {rank}: session output differs from one-shot");
-        assert_eq!(adhoc, tiles, "rank {rank}: ad-hoc pays setup per tile");
+        assert_eq!(adhoc, tiles, "rank {rank}: one-shot sets up per tile");
         assert_eq!(setups[0], tiles, "rank {rank}: first execution sets up");
         for (i, &s) in setups.iter().enumerate().skip(1) {
             assert_eq!(s, 0, "rank {rank} exec {i}: persistent plans reused");
